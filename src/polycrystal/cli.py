@@ -64,7 +64,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--support", type=int, default=None, help="support window for closures")
     common.add_argument("--rows", type=int, default=4, help="admissible-matrix row bound")
     common.add_argument("--max-forms", type=int, default=10000)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--generic", action="store_true", help="use the operator closure, not closed forms")
 
     sub = p.add_subparsers(dest="command", required=True)
@@ -180,7 +179,7 @@ def _default_depth(c, args):
 
 def cmd_enumerate(c, s, lam, args) -> int:
     fs = _system(c, s, lam, args)
-    result = enumerate_blambda(s, lam, fs, _default_depth(c, args), threads=args.threads)
+    result = enumerate_blambda(s, lam, fs, _default_depth(c, args))
     if args.format == "json":
         payload = {
             "count": len(result),
@@ -206,7 +205,7 @@ def cmd_mult(c, s, lam, args) -> int:
         raise UsageError(f"--m needs {c.rank} entries")
     depth = args.depth if args.depth is not None else sum(m) + 1
     fs = _system(c, s, lam, args)
-    result = enumerate_blambda(s, lam, fs, depth, threads=args.threads)
+    result = enumerate_blambda(s, lam, fs, depth)
     value = weight_multiplicity(result, m)
     print(value if args.format == "text" else json.dumps({"multiplicity": value}))
     return OK
@@ -291,7 +290,7 @@ def cmd_verify(c, s, lam, args) -> int:
     checked = 0
     for w in _dominant_weights(c, bound):
         fs = _system(c, s, w, args)
-        result = enumerate_blambda(s, w, fs, threads=args.threads)
+        result = enumerate_blambda(s, w, fs)
         dim = oracle.weyl_dim(c, w)
         if len(result) != dim:
             print(f"mismatch: |B({w.coeffs})| = {len(result)} but dimension is {dim}")

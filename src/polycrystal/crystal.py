@@ -110,9 +110,10 @@ class LatticePoint:
 
     def color_sums(self) -> tuple[int, ...]:
         """Per-index coordinate sums m_i = sum of x_k over positions of color i."""
+        period = self.iota.period
         sums = [0] * self.iota.cartan.rank
         for k, v in self.entries:
-            sums[self.iota.index(k) - 1] += v
+            sums[period[(k - 1) % len(period)] - 1] += v
         return tuple(sums)
 
     def render(self) -> str:
@@ -140,38 +141,70 @@ def sigma0(x: LatticePoint, i: int) -> int:
     """The weight-dependent threshold; undefined in b-infinity mode."""
     if x.mode != HIGHEST_WEIGHT:
         raise ModeError("sigma0 is only defined in highest-weight mode")
-    s = x.iota
-    total = -x.lam.pairing(i)
-    for j, v in x.entries:
-        total += s.cartan.pairing(i, s.index(j)) * v
-    return total
+    return _profile(x)[3][i - 1]
 
 
-def _sigma_profile(x: LatticePoint, i: int):
-    """(max of sigma over color-i positions, argmin, argmax-or-None).
+def sigma_sweep(entries, period, columns, lam_coeffs):
+    """All string-form data of a point in one right-to-left pass.
 
-    Scanning one period past the support provably covers the maximum (sigma
-    vanishes beyond the support, so the supremum is >= 0 and attained in the
-    window) and, when the maximum is positive, the whole argmax set.
+    ``entries`` are sorted (position, value) pairs, ``period`` is the iota
+    period, ``columns[c]`` lists <h_r, alpha_{c+1}> over r (the Cartan
+    matrix's columns) and ``lam_coeffs`` holds <h_i, lam>, or is None in
+    b-infinity mode.  Returns per color (list index i - 1):
+
+    - the max of sigma_k over positions k of that color;
+    - its leftmost argmax kmin;
+    - its rightmost argmax kmax, or None unless the max is positive;
+    - sigma0, or None in b-infinity mode.
+
+    The pass runs over k = window .. 1 with window = max support + period
+    length, keeping the suffix sums S[c] = sum over j > k of
+    <h_c, alpha_{i_j}> x_j for every color c, so sigma_k = x_k + S[i_k] and,
+    at the end, sigma0 = S[i] - <h_i, lam>.  Every color occurs in the
+    period past the support, where sigma vanishes, so the max is >= 0; that
+    stretch covers the maximum and, when it is positive, the whole argmax set.
     """
-    s = x.iota
-    window = x.max_support + s.period_len
-    best = None
-    kmin = kmax = None
-    for k in range(1, window + 1):
-        if s.index(k) != i:
-            continue
-        val = sigma(x, k)
-        if best is None or val > best:
-            best, kmin, kmax = val, k, k
-        elif val == best:
-            kmax = k
-    return best, kmin, (kmax if best > 0 else None)
+    m = len(period)
+    top = entries[-1][0] if entries else 0
+    tail = [0] * len(columns)
+    best = [0] * len(columns)
+    kmin = [0] * len(columns)
+    kmax = [0] * len(columns)
+    for k in range(top + m, top, -1):
+        kmin[period[(k - 1) % m] - 1] = k
+    pos = len(entries) - 1
+    for k in range(top, 0, -1):
+        c = period[(k - 1) % m] - 1
+        val = tail[c]
+        if pos >= 0 and entries[pos][0] == k:
+            v = entries[pos][1]
+            pos -= 1
+            val += v
+            tail = [t + a * v for t, a in zip(tail, columns[c])]
+        if val > best[c]:
+            best[c] = val
+            kmin[c] = kmax[c] = k
+        elif val == best[c]:
+            kmin[c] = k
+    s0 = None if lam_coeffs is None else [t - l for t, l in zip(tail, lam_coeffs)]
+    return best, kmin, [k if b > 0 else None for k, b in zip(kmax, best)], s0
+
+
+def _profile(x: LatticePoint):
+    cartan = x.iota.cartan
+    lam = x.lam.coeffs if x.mode == HIGHEST_WEIGHT else None
+    return sigma_sweep(x.entries, x.iota.period, tuple(zip(*cartan.matrix)), lam)
 
 
 def sigma_max(x: LatticePoint, i: int) -> int:
     """The supremum of sigma over positions of color i; always >= 0."""
-    return _sigma_profile(x, i)[0]
+    return _profile(x)[0][i - 1]
+
+
+def lattice_epsilons(x: LatticePoint) -> list:
+    """epsilon_i of a lattice point for every color i, from one sweep."""
+    best, _, _, s0 = _profile(x)
+    return best if s0 is None else [max(b, z) for b, z in zip(best, s0)]
 
 
 class Zero:
@@ -247,11 +280,7 @@ def epsilon(b, i: int):
     if b is ZERO:
         raise ZeroElementError("the annihilator has no string functions")
     if isinstance(b, LatticeElem):
-        x = b.point
-        top = sigma_max(x, i)
-        if x.mode == B_INFINITY:
-            return top
-        return max(top, sigma0(x, i))
+        return lattice_epsilons(b.point)[i - 1]
     if isinstance(b, Elementary):
         return -b.n if i == b.i else MINUS_INFINITY
     if isinstance(b, RElem):
@@ -283,10 +312,11 @@ def f_tilde(b, i: int):
         return ZERO
     if isinstance(b, LatticeElem):
         x = b.point
-        top, kmin, _ = _sigma_profile(x, i)
-        if x.mode == HIGHEST_WEIGHT and not top > sigma0(x, i):
+        top, kmin, _, s0 = _profile(x)
+        if s0 is not None and not top[i - 1] > s0[i - 1]:
             return ZERO
-        return LatticeElem(x.replaced(kmin, x.get(kmin) + 1))
+        k = kmin[i - 1]
+        return LatticeElem(x.replaced(k, x.get(k) + 1))
     if isinstance(b, Elementary):
         return Elementary(b.cartan, b.i, b.n - 1) if i == b.i else ZERO
     if isinstance(b, RElem):
@@ -304,12 +334,13 @@ def e_tilde(b, i: int):
         return ZERO
     if isinstance(b, LatticeElem):
         x = b.point
-        top, _, kmax = _sigma_profile(x, i)
-        if top <= 0:
+        top, _, kmax, s0 = _profile(x)
+        if top[i - 1] <= 0:
             return ZERO
-        if x.mode == HIGHEST_WEIGHT and not top >= sigma0(x, i):
+        if s0 is not None and not top[i - 1] >= s0[i - 1]:
             return ZERO
-        return LatticeElem(x.replaced(kmax, x.get(kmax) - 1))
+        k = kmax[i - 1]
+        return LatticeElem(x.replaced(k, x.get(k) - 1))
     if isinstance(b, Elementary):
         return Elementary(b.cartan, b.i, b.n + 1) if i == b.i else ZERO
     if isinstance(b, RElem):

@@ -9,13 +9,11 @@ enumerator can assert that agreement point by point as it runs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cartan import Weight
-from .crystal import HIGHEST_WEIGHT, ZERO, LatticeElem, LatticePoint, epsilon, f_tilde
+from .crystal import HIGHEST_WEIGHT, LatticePoint, lattice_epsilons, sigma_sweep
 from .iota import IotaSequence
 from .linforms import HAT, BudgetExceededError, FormSet, LinForm, generate_closure, lambda_form
 
@@ -65,14 +63,23 @@ def enumerate_blambda(
     fs: FormSet,
     depth_cap: int | None = None,
     validate: bool | None = None,
-    threads: int = 1,
 ) -> RealizationResult:
     """Breadth-first closure of the zero vector under all lowering operators.
 
     Depth is the coordinate sum, which every lowering step increases by one,
-    so levels fill completely in order.  With ``validate`` (default: on under
-    __debug__) every reached point is also checked against the inequality
-    system, cross-validating enumeration against the cut-out set.
+    so levels fill completely in order.  Points are held as bare entry
+    tuples; one :func:`sigma_sweep` per point gives every color's f_i: it
+    acts iff max sigma > sigma0 and raises the entry at the leftmost argmax.
+
+    With ``validate`` (default: on under __debug__) every reached point is
+    also checked against the inequality system, cross-validating enumeration
+    against the cut-out set.  The check is incremental and exact: the origin
+    gets the full :func:`member` test, and a child x + e_k of a point that
+    passed is re-checked only against ``zero_beyond`` at k and the forms with
+    a negative coefficient at k.  Every other form has a coefficient >= 0 at
+    k, so its value at the child is at least its value at the parent; by
+    induction over the levels, the verdict is that of :func:`member` on every
+    point.
     """
     if validate is None:
         validate = __debug__
@@ -80,55 +87,68 @@ def enumerate_blambda(
     if not member(origin, fs):
         raise NotAmpleError("the zero vector violates the supplied system")
 
-    colors = tuple(s.cartan.indices)
+    period = s.period
+    columns = tuple(zip(*s.cartan.matrix))
+    negative: dict[int, list[LinForm]] = {}
+    if validate:
+        for phi in fs.forms:
+            for k, c in phi.coeffs:
+                if c < 0:
+                    negative.setdefault(k, []).append(phi)
+    cutoff = fs.zero_beyond
 
-    def children(point: LatticePoint):
-        out = []
-        for i in colors:
-            nxt = f_tilde(LatticeElem(point), i)
-            if nxt is not ZERO:
-                out.append(nxt.point)
-        return out
+    def violates(entries, k: int) -> bool:
+        if cutoff is not None and k > cutoff:
+            return True
+        forms = negative.get(k)
+        if not forms:
+            return False
+        values = dict(entries)
+        return any(phi.evaluate(values) < 0 for phi in forms)
 
-    seen = {origin.entries: origin}
-    frontier = [origin]
-    depth = 0
+    seen = {origin.entries}
+    levels = [[origin.entries]]
     complete = True
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while frontier:
-            if depth_cap is not None and depth >= depth_cap:
-                complete = False
-                break
-            if pool is None:
-                batches = map(children, frontier)
-            else:
-                batches = pool.map(children, frontier)
-            nxt = []
-            for batch in batches:
-                for point in batch:
-                    if point.entries in seen:
-                        continue
-                    if validate and not member(point, fs):
-                        raise AssertionError(
-                            f"enumerated point {point.render()} violates the inequality system"
-                        )
-                    seen[point.entries] = point
-                    nxt.append(point)
-            frontier = nxt
-            if frontier:
-                depth += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while True:
+        if depth_cap is not None and len(levels) - 1 >= depth_cap:
+            complete = False
+            break
+        nxt = []
+        for entries in levels[-1]:
+            top, kmin, _, s0 = sigma_sweep(entries, period, columns, lam.coeffs)
+            for c, k in enumerate(kmin):
+                if top[c] <= s0[c]:
+                    continue
+                child = _raised(entries, k)
+                if child in seen:
+                    continue
+                if validate and violates(child, k):
+                    point = LatticePoint(child, s, lam, HIGHEST_WEIGHT)
+                    raise AssertionError(f"enumerated point {point.render()} violates the inequality system")
+                seen.add(child)
+                nxt.append(child)
+        if not nxt:
+            break
+        levels.append(nxt)
 
-    elements = tuple(sorted(seen.values(), key=lambda p: (p.total, p.entries)))
+    elements = tuple(LatticePoint(e, s, lam, HIGHEST_WEIGHT) for level in levels for e in sorted(level))
     by_weight: dict[tuple[int, ...], int] = {}
     for p in elements:
         key = p.color_sums()
         by_weight[key] = by_weight.get(key, 0) + 1
-    depth_used = depth_cap if not complete else depth
+    depth_used = depth_cap if not complete else len(levels) - 1
     return RealizationResult(elements, complete, by_weight, depth_used)
+
+
+def _raised(entries, k: int):
+    """Sorted (position, value) pairs with the entry at k raised by one; the
+    entries of a walked point are positive, so none drops to zero."""
+    for n, (pos, v) in enumerate(entries):
+        if pos == k:
+            return entries[:n] + ((k, v + 1),) + entries[n + 1:]
+        if pos > k:
+            return entries[:n] + ((k, 1),) + entries[n:]
+    return entries + ((k, 1),)
 
 
 def epsilon_star(x: LatticePoint, i: int, xi_set: FormSet) -> int:
@@ -232,18 +252,6 @@ def lr_coefficient(
         )
     count = 0
     for p in mu_result.elements:
-        if _cached_sums(p) != offset:
-            continue
-        if all(_cached_eps(p, i) <= lam.pairing(i) for i in s.cartan.indices):
+        if p.color_sums() == offset and all(e <= l for e, l in zip(lattice_epsilons(p), lam.coeffs)):
             count += 1
     return count
-
-
-@lru_cache(maxsize=None)
-def _cached_eps(point: LatticePoint, i: int) -> int:
-    return epsilon(LatticeElem(point), i)
-
-
-@lru_cache(maxsize=None)
-def _cached_sums(point: LatticePoint) -> tuple[int, ...]:
-    return point.color_sums()

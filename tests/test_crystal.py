@@ -23,6 +23,7 @@ from polycrystal.crystal import (
     sigma,
     sigma0,
     sigma_max,
+    sigma_sweep,
     tensor,
     weight,
 )
@@ -69,6 +70,61 @@ def test_sigma_max_nonnegative_randomized(r22):
         x = point(c, s, lam, {k: rng.randrange(-2, 4) for k in range(1, 6)})
         for i in c.indices:
             assert sigma_max(x, i) >= 0
+
+
+def _scan(x, i):
+    """(max sigma, leftmost argmax, rightmost argmax or None, sigma0 or None)
+    for color i, straight from the definitions over the window."""
+    s = x.iota
+    window = x.max_support + s.period_len
+    vals = [(sigma(x, k), k) for k in range(1, window + 1) if s.index(k) == i]
+    top = max(v for v, _ in vals)
+    args = [k for v, k in vals if v == top]
+    s0 = None
+    if x.mode == HIGHEST_WEIGHT:
+        s0 = -x.lam.pairing(i) + sum(s.cartan.pairing(i, s.index(j)) * v for j, v in x.entries)
+    return top, args[0], (args[-1] if top > 0 else None), s0
+
+
+@pytest.mark.parametrize(
+    "c, display",
+    [
+        (pc.rank2(2, 2), None),
+        (pc.rank2(1, 3), None),
+        (pc.type_a(3), None),
+        (pc.type_a(3), "2,3,2,1"),
+        (pc.affine_a(3), None),
+    ],
+)
+def test_sigma_sweep_matches_definition(c, display):
+    s = pc.IotaSequence.from_display(c, display) if display else pc.standard_iota(c)
+    columns = tuple(zip(*c.matrix))
+    rng = random.Random(17)
+    for n in range(150):
+        mode = HIGHEST_WEIGHT if n % 2 else B_INFINITY
+        lam = pc.weight(c, [rng.randrange(0, 4) for _ in c.indices]) if mode == HIGHEST_WEIGHT else pc.zero_weight(c)
+        span = rng.randrange(0, 3 * s.period_len + 2)
+        x = point(c, s, lam, {k: rng.randrange(-2, 4) for k in range(1, span + 1)}, mode)
+        sweep = sigma_sweep(x.entries, s.period, columns, lam.coeffs if mode == HIGHEST_WEIGHT else None)
+        for i in c.indices:
+            top, kmin, kmax, s0 = _scan(x, i)
+            assert (sweep[0][i - 1], sweep[1][i - 1], sweep[2][i - 1]) == (top, kmin, kmax)
+            assert (None if sweep[3] is None else sweep[3][i - 1]) == s0
+            assert sigma_max(x, i) == top
+            values = x.values
+            down = f_tilde(LatticeElem(x), i)
+            if s0 is not None and not top > s0:
+                assert down is ZERO
+            else:
+                values[kmin] = values.get(kmin, 0) + 1
+                assert down.point == point(c, s, lam, values, mode)
+                values[kmin] -= 1
+            up = e_tilde(LatticeElem(x), i)
+            if top <= 0 or (s0 is not None and top < s0):
+                assert up is ZERO
+            else:
+                values[kmax] = values.get(kmax, 0) - 1
+                assert up.point == point(c, s, lam, values, mode)
 
 
 def test_f_tilde_lattice_example(r22):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import polycrystal as pc
@@ -240,12 +242,23 @@ def test_affine_windows_cut_exactly_the_enumerated_sets():
     assert bfs3 == cut3
 
 
-def test_threads_give_identical_results():
+
+def test_validation_catches_violations():
     c = pc.type_a(3)
     s = pc.standard_iota(c)
-    lam = pc.weight(c, "1,1,0")
+    lam = pc.weight(c, "2,0,0")
     fs = pc.an_system(3, lam)
-    serial = enumerate_blambda(s, lam, fs, threads=1)
-    threaded = enumerate_blambda(s, lam, fs, threads=4)
-    assert [p.entries for p in serial.elements] == [p.entries for p in threaded.elements]
-    assert serial.by_weight == threaded.by_weight
+    walk = enumerate_blambda(s, lam, fs, validate=False)
+    # holds at the origin and on every point of depth 1, fails at depth 2
+    extra = LinForm.build(1, {1: -1, 2: -1})
+    bad_form = dataclasses.replace(fs, forms=fs.forms | {extra})
+    assert all(member(p, bad_form) for p in walk.elements if p.total < 2)
+    assert not all(member(p, bad_form) for p in walk.elements if p.total == 2)
+    # the walk reaches position 3, past this cutoff
+    bad_cutoff = dataclasses.replace(fs, zero_beyond=2)
+    assert max(p.max_support for p in walk.elements) == 3
+    for bad in (bad_form, bad_cutoff):
+        with pytest.raises(AssertionError, match="violates the inequality system"):
+            enumerate_blambda(s, lam, bad, validate=True)
+        unchecked = enumerate_blambda(s, lam, bad, validate=False)
+        assert unchecked.elements == walk.elements and unchecked.by_weight == walk.by_weight

@@ -288,6 +288,7 @@ def _dominant_weights(c, bound):
 def cmd_verify(c, s, lam, args) -> int:
     bound = args.max_weight
     checked = 0
+    crystals = {}
     for w in _dominant_weights(c, bound):
         fs = _system(c, s, w, args)
         result = enumerate_blambda(s, w, fs)
@@ -300,12 +301,13 @@ def cmd_verify(c, s, lam, args) -> int:
             diff = set(result.by_weight.items()) ^ set(mults.items())
             print(f"mismatch: weight multiplicities differ for {w.coeffs}: {sorted(diff)[:3]}")
             return MISMATCH
+        crystals[w.coeffs] = result
         checked += 1
     for w1 in _dominant_weights(c, bound):
         for w2 in _dominant_weights(c, bound):
             expected = oracle.tensor_decomposition(c, w1.coeffs, w2.coeffs)
             for nu_coeffs, count in sorted(expected.items()):
-                got = lr_coefficient(s, w1, w2, Weight(c, nu_coeffs))
+                got = lr_coefficient(s, w1, w2, Weight(c, nu_coeffs), mu_result=crystals[w2.coeffs])
                 if got != count:
                     print(
                         f"mismatch: c^{nu_coeffs}_({w1.coeffs},{w2.coeffs}) = {got}, oracle {count}"

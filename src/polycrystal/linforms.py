@@ -6,14 +6,18 @@ coefficients.  Two rewriting operators act on forms at a position k:
 
 * the plain operator subtracts ``coeff_k`` times the next-occurrence
   difference form ``beta_k`` when ``coeff_k > 0`` and adds it back from the
-  previous occurrence (nothing at a first occurrence) when ``coeff_k <= 0``;
+  previous occurrence (nothing at a first occurrence) when ``coeff_k < 0``;
 * the highest-weight operator does the same but, at a first occurrence with
-  ``coeff_k <= 0``, uses the variant carrying the weight pairing as a
+  ``coeff_k < 0``, uses the variant carrying the weight pairing as a
   constant term.
 
+At ``coeff_k = 0`` both operators are the identity.  The beta forms are
+shifts of the rows that :class:`IotaSequence` tabulates per period offset.
+
 Worklist closures of seed forms under these operators, restricted to a
-support window, produce the inequality systems; truncation is reported
-honestly whenever a generated form escapes the window.
+support window, produce the inequality systems; a closure rewrites each
+form only on its support, since a zero-coefficient rewrite is the identity.
+Truncation is reported honestly whenever a generated form escapes the window.
 """
 
 from __future__ import annotations
@@ -120,14 +124,9 @@ class LinForm:
 
 def beta_plus(s: IotaSequence, k: int) -> LinForm:
     """x_k + sum of pairings strictly between k and its next occurrence + x_{k^(+)}."""
-    i = s.index(k)
-    kp = s.k_plus(k)
-    coeffs = {k: 1, kp: 1}
-    for j in range(k + 1, kp):
-        c = s.cartan.pairing(i, s.index(j))
-        if c:
-            coeffs[j] = c
-    return LinForm.build(coeffs=coeffs)
+    if k < 1:
+        raise ValueError("positions are 1-based")
+    return LinForm(0, tuple((k + d, c) for d, c in s.plus_rows[(k - 1) % s.period_len]))
 
 
 def beta_minus(s: IotaSequence, lam: Weight, k: int) -> LinForm:
@@ -136,12 +135,7 @@ def beta_minus(s: IotaSequence, lam: Weight, k: int) -> LinForm:
     if km > 0:
         return beta_plus(s, km)
     i = s.index(k)
-    coeffs = {k: 1}
-    for j in range(1, k):
-        c = s.cartan.pairing(i, s.index(j))
-        if c:
-            coeffs[j] = c
-    return LinForm.build(const=-lam.pairing(i), coeffs=coeffs)
+    return LinForm(-lam.pairing(i), s.first_rows[i - 1])
 
 
 def s_plain(s: IotaSequence, phi: LinForm, k: int) -> LinForm:
@@ -169,13 +163,8 @@ def s_hat(s: IotaSequence, lam: Weight, phi: LinForm, k: int) -> LinForm:
 
 def xi_form(s: IotaSequence, i: int) -> LinForm:
     """The seed form with coefficient -1 at the first occurrence of i."""
-    fi = s.first(i)
-    coeffs = {fi: -1}
-    for j in range(1, fi):
-        c = s.cartan.pairing(i, s.index(j))
-        if c:
-            coeffs[j] = -c
-    return LinForm.build(coeffs=coeffs)
+    s.first(i)  # raises for an index that does not occur
+    return LinForm(0, tuple((j, -c) for j, c in s.first_rows[i - 1]))
 
 
 def lambda_form(s: IotaSequence, lam: Weight, i: int) -> LinForm:
@@ -220,8 +209,11 @@ def generate_closure(
 ) -> FormSet:
     """Worklist closure of the seeds under the chosen operator at positions <= support_bound.
 
-    Forms whose support escapes the window are dropped and flagged via
-    ``truncated``; the zero form is discarded (it encodes 0 >= 0).  Raises
+    A popped form is rewritten only at the positions of its support, in
+    ascending order: a zero-coefficient rewrite is the identity and is
+    skipped.  The beta forms come from tables built once per call over the
+    window.  Forms whose support escapes the window are dropped and flagged
+    via ``truncated``; the zero form is discarded (it encodes 0 >= 0).  Raises
     :class:`BudgetExceededError` carrying the partial set when more than
     ``max_forms`` distinct forms appear.
     """
@@ -229,18 +221,22 @@ def generate_closure(
         raise ValueError(f"unknown operator {operator!r}")
     if operator == HAT and lam is None:
         raise ValueError("the highest-weight operator needs a weight")
-
-    def apply(phi: LinForm, k: int) -> LinForm:
-        if operator == PLAIN:
-            return s_plain(s, phi, k)
-        return s_hat(s, lam, phi, k)
-
     seeds = tuple(seeds)
     if max_forms < len(seeds):
         raise ValueError("max_forms is smaller than the seed set")
     for seed in seeds:
         if seed.max_index > support_bound:
             raise ValueError(f"seed {seed!r} exceeds the support bound {support_bound}")
+
+    # The beta that the rewrite at position k subtracts c_k times, by the sign
+    # of c_k.  beta_pos[0] is None, so the plain operator's beta_neg entry is
+    # None at a first occurrence (k_minus = 0), where it is the identity.
+    window = range(1, support_bound + 1)
+    beta_pos = [None] + [beta_plus(s, k) for k in window]
+    if operator == HAT:
+        beta_neg = [None] + [beta_minus(s, lam, k) for k in window]
+    else:
+        beta_neg = [None] + [beta_pos[s.k_minus(k)] for k in window]
 
     seen: set[LinForm] = set()
     queue: deque[LinForm] = deque()
@@ -256,9 +252,15 @@ def generate_closure(
 
     while queue:
         phi = queue.popleft()
-        for k in range(1, support_bound + 1):
-            psi = apply(phi, k)
-            if psi == phi or psi.is_zero or psi in seen:
+        # Ascending support order keeps the insertion order, and so a budget
+        # hit's partial set, that of a scan over the whole window.  At c != 0
+        # beta has coefficient 1 at k, so psi never equals phi.
+        for k, c in phi.coeffs:
+            beta = beta_pos[k] if c > 0 else beta_neg[k]
+            if beta is None:
+                continue
+            psi = phi.plus(beta, -c)
+            if psi.is_zero or psi in seen:
                 continue
             if psi.max_index > support_bound:
                 truncated = True

@@ -3,7 +3,9 @@ closure, the Weyl dimension formula, the Freudenthal multiplicity recursion,
 and tensor-product multiplicities by formal character products.
 
 Used by tests and the verify command only; the main algorithms never call
-into this module.  All arithmetic is exact (integers and Fractions).
+into this module.  All arithmetic is exact (integers and Fractions).  The
+memo caches are bounded LRU caches, sized above the working set of a verify
+sweep at max weight 2 over the rank-2 and small type-A families.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def root_system(cartan: CartanData) -> RootSystem:
     """Close the simple roots under all simple reflections; positives only."""
     n = cartan.rank
@@ -83,7 +85,7 @@ def weyl_dim(cartan: CartanData, lam: Weight) -> int:
     return int(dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _dominant_multiplicity(cartan: CartanData, lam_coeffs: tuple[int, ...], m: tuple[int, ...]) -> int:
     """Freudenthal recursion at a dominant weight given by its root offset m."""
     if all(v == 0 for v in m):
@@ -156,7 +158,7 @@ def freudenthal(cartan: CartanData, lam: Weight, m) -> int:
     return multiplicity(cartan, lam, tuple(int(v) for v in m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def weight_system(cartan: CartanData, lam_coeffs: tuple[int, ...]) -> dict:
     """All offsets m with positive multiplicity, found top-down.
 
@@ -184,7 +186,7 @@ def weight_system(cartan: CartanData, lam_coeffs: tuple[int, ...]) -> dict:
     return known
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def tensor_decomposition(cartan: CartanData, lam_coeffs: tuple[int, ...], mu_coeffs: tuple[int, ...]) -> dict:
     """Decompose the character product into highest-weight characters.
 

@@ -1,9 +1,11 @@
 import random
+from collections import deque
 
 import pytest
 
 import polycrystal as pc
 from polycrystal.linforms import (
+    HAT,
     PLAIN,
     BudgetExceededError,
     FormSet,
@@ -187,6 +189,77 @@ def test_generate_closure_budget():
         generate_closure(s, None, [X(9)], PLAIN, support_bound=8)
     with pytest.raises(ValueError):
         generate_closure(s, None, seeds, PLAIN, support_bound=8, max_forms=3)
+
+
+def reference_closure(s, lam, seeds, operator, support_bound, max_forms):
+    """The closure as defined: the operator at every window position of every
+    popped form.  Returns (forms, truncated, budget_hit)."""
+    seen, queue = set(), deque()
+    for seed in seeds:
+        if not seed.is_zero and seed not in seen:
+            seen.add(seed)
+            queue.append(seed)
+    truncated = False
+    while queue:
+        phi = queue.popleft()
+        for k in range(1, support_bound + 1):
+            psi = s_plain(s, phi, k) if operator == PLAIN else s_hat(s, lam, phi, k)
+            if psi == phi or psi.is_zero or psi in seen:
+                continue
+            if psi.max_index > support_bound:
+                truncated = True
+                continue
+            if len(seen) == max_forms:
+                return frozenset(seen), True, True
+            seen.add(psi)
+            queue.append(psi)
+    return frozenset(seen), truncated, False
+
+
+def _closure_case(family, display, lam, operator, support, max_forms=10000):
+    """Unit seeds, plus the weight seeds when a weight is given."""
+    c = pc.build_cartan(family)
+    s = pc.IotaSequence.from_display(c, display) if display else pc.standard_iota(c)
+    seeds = [X(k) for k in range(1, support + 1)]
+    if lam is not None:
+        lam = pc.Weight(c, lam)
+        seeds += [lambda_form(s, lam, i) for i in c.indices]
+    return s, lam, seeds, operator, support, max_forms
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("affine-a:3", None, (1, 0, 0), HAT, 10),
+        ("an:4", "4,2,3,1", (1, 1, 0, 0), HAT, 16),
+        ("an:3", "2,3,2,1", None, PLAIN, 16),
+        ("rank2:1,3", None, None, PLAIN, 12),
+        ("rank2:2,2", None, None, PLAIN, 12),
+        ("affine-a:3", None, (1, 0, 0), HAT, 10, 40),
+    ],
+    ids=lambda case: "-".join(str(v) for v in case if v is not None),
+)
+def test_closure_matches_full_window_reference(case):
+    args = _closure_case(*case)
+    forms, truncated, budget_hit = reference_closure(*args)
+    if budget_hit:
+        with pytest.raises(BudgetExceededError) as err:
+            generate_closure(*args)
+        fs = err.value.partial
+    else:
+        fs = generate_closure(*args)
+    assert fs.forms == forms
+    assert fs.truncated == truncated
+
+
+@pytest.mark.parametrize("family", ["an:4", "rank2:1,2"])
+def test_closure_matches_reference_without_truncation(family):
+    s = pc.standard_iota(pc.build_cartan(family))
+    for i in s.cartan.indices:
+        args = (s, None, [xi_form(s, i)], PLAIN, 20, 500)
+        forms, truncated, _ = reference_closure(*args)
+        fs = generate_closure(*args)
+        assert fs.forms == forms and not fs.truncated and not truncated
 
 
 def test_check_positivity_rank2_passes():

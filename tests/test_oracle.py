@@ -1,6 +1,7 @@
 import pytest
 
 import polycrystal as pc
+from polycrystal import oracle
 from polycrystal.oracle import (
     NotFiniteTypeError,
     char_product_lr,
@@ -89,3 +90,10 @@ def test_char_product_requires_dominant():
     a2 = pc.rank2(1, 1)
     with pytest.raises(ValueError):
         char_product_lr(a2, pc.weight(a2, "-1,0"), pc.weight(a2, "0,0"), pc.weight(a2, "0,0"))
+
+
+def test_oracle_caches_are_bounded():
+    caches = [f for f in vars(oracle).values() if callable(getattr(f, "cache_parameters", None))]
+    assert caches
+    for f in caches:
+        assert f.cache_parameters()["maxsize"] is not None, f.__name__

@@ -53,6 +53,7 @@ from .linforms import (
     check_ample,
     check_positivity,
     generate_closure,
+    hat_system,
     lambda_form,
     s_hat,
     s_plain,

@@ -16,16 +16,14 @@ from .cartan import InvalidCartanError, Weight, build_cartan, weight, zero_weigh
 from .crystal import B_INFINITY, LatticePoint, lattice_graph_dot
 from .iota import IotaSequence, standard_iota
 from .linforms import (
-    HAT,
     PLAIN,
-    BudgetExceededError,
     FormSet,
     LinForm,
     check_ample,
     check_positivity,
     forms_to_json,
     generate_closure,
-    lambda_form,
+    hat_system,
     xi_form,
 )
 from .realization import (
@@ -101,36 +99,22 @@ def _default_support(args, s) -> int:
     return max(12, 4 * s.period_len)
 
 
-def _closed_system(c, s, lam, args) -> FormSet:
+def _system(c, s, lam, args) -> FormSet:
+    """The closed form where one exists and describes ``s`` (the standard
+    iota), unless --generic; otherwise the highest-weight closure."""
     tag = _family_tag(c)
+    if args.generic or tag == "custom" or s != standard_iota(c):
+        return hat_system(s, lam, _default_support(args, s), args.max_forms)
     if tag == "rank2":
         c1, c2 = c.family[1]
-        window = args.support if c1 * c2 >= 4 else None
-        if c1 * c2 >= 4 and window is None:
-            window = 9
+        window = None
+        if c1 * c2 >= 4:
+            window = args.support if args.support is not None else 9
         return special.rank2_system(c1, c2, lam, window)
     if tag == "an":
         return special.an_system(c.rank, lam)
-    if tag == "affine-a":
-        k_bound = args.support if args.support is not None else 8
-        return special.affine_a_system(c.rank, lam, args.rows, k_bound)
-    raise UsageError("custom families have no closed-form system; pass --generic")
-
-
-def _generic_system(c, s, lam, args) -> FormSet:
-    n = _default_support(args, s)
-    seeds = [LinForm.unit(k) for k in range(1, n + 1)]
-    seeds += [lambda_form(s, lam, i) for i in c.indices]
-    try:
-        return generate_closure(s, lam, seeds, HAT, n, args.max_forms)
-    except BudgetExceededError as exc:
-        return exc.partial
-
-
-def _system(c, s, lam, args) -> FormSet:
-    if args.generic or _family_tag(c) == "custom":
-        return _generic_system(c, s, lam, args)
-    return _closed_system(c, s, lam, args)
+    k_bound = args.support if args.support is not None else 8
+    return special.affine_a_system(c.rank, lam, args.rows, k_bound)
 
 
 def render_inequality(phi: LinForm) -> str:
@@ -160,7 +144,8 @@ def _emit_forms(fs: FormSet, args) -> int:
         if fs.zero_beyond is not None:
             print(f"x_k = 0 for k > {fs.zero_beyond}")
     if fs.truncated:
-        print("warning: system truncated; constraints shown are necessary only", file=sys.stderr)
+        cause = f"budget of {args.max_forms} forms hit" if fs.budget_hit else "a form escaped the window"
+        print(f"warning: system truncated ({cause}); constraints shown are necessary only", file=sys.stderr)
         return INCONCLUSIVE
     return OK
 
@@ -214,7 +199,7 @@ def cmd_mult(c, s, lam, args) -> int:
 def cmd_lr(c, s, lam, args) -> int:
     mu = weight(c, args.mu)
     nu = weight(c, args.nu)
-    value = lr_coefficient(s, lam, mu, nu)
+    value = lr_coefficient(s, lam, mu, nu, fs=_system(c, s, mu, args))
     print(value if args.format == "text" else json.dumps({"coefficient": value}))
     return OK
 

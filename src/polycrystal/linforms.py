@@ -177,11 +177,12 @@ def lambda_form(s: IotaSequence, lam: Weight, i: int) -> LinForm:
 class FormSet:
     """A deduplicated set of forms, with closure bookkeeping.
 
-    ``truncated`` means some generated form escaped the support window (or a
-    budget was hit), so membership tests against this set are necessary
-    conditions only.  ``zero_beyond`` asserts that the full system pins
-    x_k = 0 for every k past that cutoff; closed-form builders set it so that
-    membership stays exact for points of arbitrary support.
+    ``truncated`` means some generated form escaped the support window or a
+    budget was hit, so membership tests against this set are necessary
+    conditions only; ``budget_hit`` marks the second cause, the partial set
+    of a :class:`BudgetExceededError`.  ``zero_beyond`` asserts that the full
+    system pins x_k = 0 for every k past that cutoff; closed-form builders set
+    it so that membership stays exact for points of arbitrary support.
     """
 
     forms: frozenset
@@ -190,6 +191,7 @@ class FormSet:
     generators: tuple[LinForm, ...] = ()
     operator: str = PLAIN
     zero_beyond: int | None = None
+    budget_hit: bool = False
 
     @property
     def sorted_forms(self) -> list[LinForm]:
@@ -214,8 +216,8 @@ def generate_closure(
     skipped.  The beta forms come from tables built once per call over the
     window.  Forms whose support escapes the window are dropped and flagged
     via ``truncated``; the zero form is discarded (it encodes 0 >= 0).  Raises
-    :class:`BudgetExceededError` carrying the partial set when more than
-    ``max_forms`` distinct forms appear.
+    :class:`BudgetExceededError` carrying the partial set, with ``budget_hit``
+    set, when more than ``max_forms`` distinct forms appear.
     """
     if operator not in (PLAIN, HAT):
         raise ValueError(f"unknown operator {operator!r}")
@@ -247,8 +249,8 @@ def generate_closure(
         seen.add(seed)
         queue.append(seed)
 
-    def result(trunc):
-        return FormSet(frozenset(seen), trunc, support_bound, seeds, operator)
+    def result(trunc, budget_hit=False):
+        return FormSet(frozenset(seen), trunc, support_bound, seeds, operator, budget_hit=budget_hit)
 
     while queue:
         phi = queue.popleft()
@@ -266,10 +268,21 @@ def generate_closure(
                 truncated = True
                 continue
             if len(seen) + 1 > max_forms:
-                raise BudgetExceededError(result(True))
+                raise BudgetExceededError(result(True, budget_hit=True))
             seen.add(psi)
             queue.append(psi)
     return result(truncated)
+
+
+def hat_system(s: IotaSequence, lam: Weight, support_bound: int, max_forms: int) -> FormSet:
+    """The highest-weight closure of the unit seeds x_1..x_{support_bound}
+    and the weight seeds; on a budget hit, the partial set it stopped at."""
+    seeds = [LinForm.unit(k) for k in range(1, support_bound + 1)]
+    seeds += [lambda_form(s, lam, i) for i in s.cartan.indices]
+    try:
+        return generate_closure(s, lam, seeds, HAT, support_bound, max_forms)
+    except BudgetExceededError as exc:
+        return exc.partial
 
 
 @dataclass(frozen=True)
@@ -332,27 +345,20 @@ def check_ample(
 ) -> AmpleReport:
     """Test whether the zero vector satisfies the generated system.
 
-    Runs the highest-weight closure over the unit seeds and the weight seeds;
-    a negative constant term is a conclusive failure, while an all-clear on a
-    truncated closure is reported with ``conclusive=False``.
+    Runs :func:`hat_system`; a negative constant term is a conclusive
+    failure, while an all-clear on a truncated closure (window escape or
+    budget hit) is reported with ``conclusive=False``.
     """
     if not lam.dominant:
         raise ValueError("ampleness is defined for dominant weights")
-    seeds = [LinForm.unit(k) for k in range(1, support_bound + 1)]
-    seeds += [lambda_form(s, lam, i) for i in s.cartan.indices]
-    budget_hit = False
-    try:
-        fs = generate_closure(s, lam, seeds, HAT, support_bound, max_forms)
-    except BudgetExceededError as exc:
-        fs = exc.partial
-        budget_hit = True
+    fs = hat_system(s, lam, support_bound, max_forms)
     witness = None
     for phi in fs.sorted_forms:
         if phi.const < 0:
             witness = phi
             break
     ample = witness is None
-    conclusive = (not ample) or not (fs.truncated or budget_hit)
+    conclusive = (not ample) or not fs.truncated
     if require_conclusive and not conclusive:
         raise InconclusiveError("ampleness verdict would rest on a truncated closure")
     return AmpleReport(ample, conclusive, witness)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cartan import Weight
 from .crystal import HIGHEST_WEIGHT, LatticePoint, lattice_epsilons, sigma_sweep
 from .iota import IotaSequence
-from .linforms import HAT, BudgetExceededError, FormSet, LinForm, generate_closure, lambda_form
+from .linforms import FormSet, LinForm, hat_system
 
 
 class NotAmpleError(ValueError):
@@ -217,8 +217,7 @@ def lr_coefficient(
     lam: Weight,
     mu: Weight,
     nu: Weight,
-    support_bound: int | None = None,
-    max_forms: int = 20000,
+    fs: FormSet | None = None,
     mu_result: RealizationResult | None = None,
     validate: bool | None = None,
 ) -> int:
@@ -226,7 +225,9 @@ def lr_coefficient(
 
     Enumerates the realized mu-crystal once to the needed depth and counts
     the elements of weight nu - lam whose string functions stay within lam's
-    pairings.  An optional precomputed enumeration is reused as-is.
+    pairings.  The walk is checked against ``fs``, mu's inequality system,
+    by default the :func:`hat_system` over period length times (depth + 2)
+    positions.  An optional precomputed enumeration is reused as-is.
     """
     for w in (lam, mu, nu):
         if not w.dominant:
@@ -237,14 +238,8 @@ def lr_coefficient(
         return 0
     depth = sum(offset)
     if mu_result is None:
-        if support_bound is None:
-            support_bound = s.period_len * (depth + 2)
-        seeds = [LinForm.unit(k) for k in range(1, support_bound + 1)]
-        seeds += [lambda_form(s, mu, i) for i in s.cartan.indices]
-        try:
-            fs = generate_closure(s, mu, seeds, HAT, support_bound, max_forms)
-        except BudgetExceededError as exc:
-            fs = exc.partial
+        if fs is None:
+            fs = hat_system(s, mu, s.period_len * (depth + 2), 20000)
         mu_result = enumerate_blambda(s, mu, fs, depth_cap=depth + 1, validate=validate)
     elif not mu_result.complete and depth >= mu_result.depth_used:
         raise IncompleteEnumerationError(

@@ -1,9 +1,11 @@
 import json
 
+import pytest
+
 import polycrystal as pc
-from polycrystal import oracle
-from polycrystal.cli import main
-from polycrystal.linforms import form_from_json
+from polycrystal import oracle, special
+from polycrystal.cli import _build_parser, _context, _system, main
+from polycrystal.linforms import HAT, LinForm, form_from_json, generate_closure, lambda_form
 
 
 def run(capsys, *argv):
@@ -102,6 +104,51 @@ def test_mult(capsys):
 def test_lr(capsys):
     code, out, _ = run(capsys, "--family", "rank2:1,1", "--lambda", "1,0", "lr", "--mu", "1,0", "--nu", "0,1")
     assert code == 0 and out.strip() == "1"
+
+
+def test_lr_honours_system_flags(capsys):
+    args = ("--family", "rank2:1,1", "--lambda", "1,0", "lr", "--mu", "1,0", "--nu", "0,1")
+    code, out, err = run(capsys, *args, "--generic", "--max-forms", "2")
+    assert code == 1 and err.strip() == "error: max_forms is smaller than the seed set"
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out.strip() == "1"
+
+
+def test_nonstandard_iota_uses_the_closure(capsys):
+    args = ("--family", "an:3", "--iota", "2,1,3", "--lambda", "1,1,0")
+    code, out, _ = run(capsys, *args, "enumerate")
+    assert code == 0 and out.splitlines()[0] == "20 elements, complete"
+    assert run(capsys, *args, "inequalities") == run(capsys, *args, "inequalities", "--generic")
+    code, out, _ = run(capsys, "--family", "an:3", "--iota", "2,1,3", "verify", "--max-weight", "1")
+    assert code == 0 and "all checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "argv, operator",
+    [
+        ("--family an:3 --lambda 1,1,0 inequalities", special.CLOSED),
+        ("--family an:3 --iota 3,2,1 --lambda 1,1,0 inequalities", special.CLOSED),
+        ("--family rank2:1,2 --lambda 1,1 inequalities", special.CLOSED),
+        ("--family rank2:2,2 --lambda 1,1 inequalities", special.CLOSED),
+        ("--family affine-a:3 --lambda 1,0,0 inequalities", special.CLOSED),
+        ("--family an:3 --iota 2,1,3 --lambda 1,1,0 inequalities", HAT),
+        ("--family rank2:1,2 --iota 1,2 --lambda 1,1 inequalities", HAT),
+        ("--family an:3 --lambda 1,1,0 inequalities --generic", HAT),
+        ("--family custom --lambda 1,0 inequalities", HAT),
+    ],
+)
+def test_system_dispatch(argv, operator, tmp_path):
+    """Closed forms only on the standard iota of a family that has one."""
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({"rank": 2, "matrix": [[2, -1], [-1, 2]], "symmetrizer": [1, 1]}))
+    args = _build_parser().parse_args(argv.replace("custom", f"custom:{path}").split())
+    c, s, lam = _context(args)
+    fs = _system(c, s, lam, args)
+    assert fs.operator == operator
+    if operator == HAT:
+        n = max(12, 4 * s.period_len)
+        seeds = [LinForm.unit(k) for k in range(1, n + 1)] + [lambda_form(s, lam, i) for i in c.indices]
+        assert fs.forms == generate_closure(s, lam, seeds, HAT, n, args.max_forms).forms
 
 
 def test_epsstar(capsys):

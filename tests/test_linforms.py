@@ -18,6 +18,7 @@ from polycrystal.linforms import (
     form_from_json,
     forms_to_json,
     generate_closure,
+    hat_system,
     lambda_form,
     s_hat,
     s_plain,
@@ -323,6 +324,25 @@ def test_check_ample_require_conclusive():
     assert rep.ample and not rep.conclusive
     with pytest.raises(InconclusiveError):
         check_ample(s, pc.weight(c, "1,0"), 8, 5000, require_conclusive=True)
+
+
+def test_hat_system_separates_budget_hits_from_window_escapes():
+    c = pc.type_a(3)
+    s = pc.standard_iota(c)
+    lam = pc.weight(c, "1,1,0")
+    seeds = [X(k) for k in range(1, 13)] + [lambda_form(s, lam, i) for i in c.indices]
+    with pytest.raises(BudgetExceededError) as err:
+        generate_closure(s, lam, seeds, HAT, 12, 16)
+    partial = hat_system(s, lam, 12, 16)
+    assert partial == err.value.partial
+    assert partial.truncated and partial.budget_hit and len(partial) == 16
+    assert not check_ample(s, lam, 12, 16).conclusive
+    full = hat_system(s, lam, 12, 10000)
+    assert full.forms == generate_closure(s, lam, seeds, HAT, 12, 10000).forms
+    assert full.truncated and not full.budget_hit
+    c3 = pc.affine_a(3)
+    window_only = hat_system(pc.standard_iota(c3), pc.weight(c3, "1,0,0"), 10, 10000)
+    assert window_only.truncated and not window_only.budget_hit
 
 
 def test_hat_words_on_weight_seed_shift_plain_words_on_xi():

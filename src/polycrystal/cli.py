@@ -145,6 +145,8 @@ def _emit_forms(fs: FormSet, args) -> int:
             print(f"x_k = 0 for k > {fs.zero_beyond}")
     if fs.truncated:
         cause = f"budget of {args.max_forms} forms hit" if fs.budget_hit else "a form escaped the window"
+        if not fs.budget_hit and fs.escaped is not None:
+            cause += f": {render_inequality(fs.escaped)}"
         print(f"warning: system truncated ({cause}); constraints shown are necessary only", file=sys.stderr)
         return INCONCLUSIVE
     return OK

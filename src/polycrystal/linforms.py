@@ -15,15 +15,20 @@ At ``coeff_k = 0`` both operators are the identity.  The beta forms are
 shifts of the rows that :class:`IotaSequence` tabulates per period offset.
 
 Worklist closures of seed forms under these operators, restricted to a
-support window, produce the inequality systems; a closure rewrites each
-form only on its support, since a zero-coefficient rewrite is the identity.
-Truncation is reported honestly whenever a generated form escapes the window.
+support window 1..W, produce the inequality systems.  While it runs, a
+closure holds each form as the dense integer tuple (const, c_1, ..., c_W).
+It rewrites a form only on its support, since a zero-coefficient rewrite is
+the identity; a rewrite at k subtracts c_k times a sparse beta row.  The
+:class:`LinForm` objects are built once, at the end.  Truncation is reported
+honestly whenever a generated form escapes the window, and the first such
+form is kept as the reason.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .cartan import Weight
 from .iota import IotaSequence
@@ -99,6 +104,8 @@ class LinForm:
         return LinForm(self.const + scale * other.const, cleaned)
 
     def scaled(self, scale: int) -> "LinForm":
+        if scale == 0:
+            return LinForm()
         return LinForm(self.const * scale, tuple((k, c * scale) for k, c in self.coeffs))
 
     def sort_key(self):
@@ -180,7 +187,9 @@ class FormSet:
     ``truncated`` means some generated form escaped the support window or a
     budget was hit, so membership tests against this set are necessary
     conditions only; ``budget_hit`` marks the second cause, the partial set
-    of a :class:`BudgetExceededError`.  ``zero_beyond`` asserts that the full
+    of a :class:`BudgetExceededError`.  ``escaped`` is the first form a
+    closure dropped for leaving the window, the reason for the first cause;
+    it takes no part in equality.  ``zero_beyond`` asserts that the full
     system pins x_k = 0 for every k past that cutoff; closed-form builders set
     it so that membership stays exact for points of arbitrary support.
     """
@@ -192,6 +201,7 @@ class FormSet:
     operator: str = PLAIN
     zero_beyond: int | None = None
     budget_hit: bool = False
+    escaped: LinForm | None = field(default=None, compare=False)
 
     @property
     def sorted_forms(self) -> list[LinForm]:
@@ -211,13 +221,15 @@ def generate_closure(
 ) -> FormSet:
     """Worklist closure of the seeds under the chosen operator at positions <= support_bound.
 
-    A popped form is rewritten only at the positions of its support, in
-    ascending order: a zero-coefficient rewrite is the identity and is
-    skipped.  The beta forms come from tables built once per call over the
-    window.  Forms whose support escapes the window are dropped and flagged
-    via ``truncated``; the zero form is discarded (it encodes 0 >= 0).  Raises
-    :class:`BudgetExceededError` carrying the partial set, with ``budget_hit``
-    set, when more than ``max_forms`` distinct forms appear.
+    While it runs, a form is the dense tuple ``(const, c_1, ..., c_W)`` over
+    the window W = ``support_bound``, rewritten only at the positions of its
+    support, in ascending order (a zero-coefficient rewrite is the identity),
+    by sparse beta rows built once per call; forms are built once, at the end.
+    Forms whose support escapes the window are dropped and flagged via
+    ``truncated``, the first of them kept as ``escaped``; the zero form is
+    discarded (it encodes 0 >= 0).  Raises :class:`BudgetExceededError`
+    carrying the partial set, with ``budget_hit`` set, when more than
+    ``max_forms`` distinct forms appear.
     """
     if operator not in (PLAIN, HAT):
         raise ValueError(f"unknown operator {operator!r}")
@@ -231,47 +243,66 @@ def generate_closure(
             raise ValueError(f"seed {seed!r} exceeds the support bound {support_bound}")
 
     # The beta that the rewrite at position k subtracts c_k times, by the sign
-    # of c_k.  beta_pos[0] is None, so the plain operator's beta_neg entry is
-    # None at a first occurrence (k_minus = 0), where it is the identity.
+    # of c_k, as (position, coefficient) pairs with the constant at position 0.
+    # None is the identity: at position 0 and, for the plain operator, at a
+    # first occurrence (k_minus = 0).  A beta reaching past the window stays a
+    # LinForm: phi is zero there and beta is not, so every rewrite escapes.
+    def row(beta):
+        if beta is None or beta.max_index > support_bound:
+            return beta
+        return ((0, beta.const),) + beta.coeffs if beta.const else beta.coeffs
+
     window = range(1, support_bound + 1)
-    beta_pos = [None] + [beta_plus(s, k) for k in window]
+    rows_pos = [None] + [row(beta_plus(s, k)) for k in window]
     if operator == HAT:
-        beta_neg = [None] + [beta_minus(s, lam, k) for k in window]
+        rows_neg = [None] + [row(beta_minus(s, lam, k)) for k in window]
     else:
-        beta_neg = [None] + [beta_pos[s.k_minus(k)] for k in window]
+        rows_neg = [None] + [rows_pos[s.k_minus(k)] for k in window]
 
-    seen: set[LinForm] = set()
-    queue: deque[LinForm] = deque()
-    truncated = False
+    def form(v):
+        return LinForm(v[0], tuple(zip(compress(window, v[1:]), filter(None, v[1:]))))
+
+    seen: dict[tuple, LinForm | None] = {}  # dense tuple -> its seed, None if generated
     for seed in seeds:
-        if seed.is_zero or seed in seen:
-            continue
-        seen.add(seed)
-        queue.append(seed)
+        v = [seed.const] + [0] * support_bound
+        for k, c in seed.coeffs:
+            v[k] = c
+        if not seed.is_zero:
+            seen.setdefault(tuple(v), seed)
+    queue = deque(seen)
+    escaped = None
 
-    def result(trunc, budget_hit=False):
-        return FormSet(frozenset(seen), trunc, support_bound, seeds, operator, budget_hit=budget_hit)
+    def result(budget_hit=False):
+        forms = frozenset(form(v) if seed is None else seed for v, seed in seen.items())
+        truncated = budget_hit or escaped is not None
+        return FormSet(forms, truncated, support_bound, seeds, operator, budget_hit=budget_hit, escaped=escaped)
 
+    positions = range(support_bound + 1)
     while queue:
         phi = queue.popleft()
         # Ascending support order keeps the insertion order, and so a budget
         # hit's partial set, that of a scan over the whole window.  At c != 0
         # beta has coefficient 1 at k, so psi never equals phi.
-        for k, c in phi.coeffs:
-            beta = beta_pos[k] if c > 0 else beta_neg[k]
+        for k in compress(positions, phi):
+            c = phi[k]
+            beta = rows_pos[k] if c > 0 else rows_neg[k]
             if beta is None:
                 continue
-            psi = phi.plus(beta, -c)
-            if psi.is_zero or psi in seen:
+            if beta.__class__ is LinForm:
+                if escaped is None:
+                    escaped = form(phi).plus(beta, -c)
                 continue
-            if psi.max_index > support_bound:
-                truncated = True
+            v = list(phi)
+            for j, b in beta:
+                v[j] -= c * b
+            psi = tuple(v)
+            if psi in seen or not any(psi):
                 continue
-            if len(seen) + 1 > max_forms:
-                raise BudgetExceededError(result(True, budget_hit=True))
-            seen.add(psi)
+            if len(seen) >= max_forms:
+                raise BudgetExceededError(result(budget_hit=True))
+            seen[psi] = None
             queue.append(psi)
-    return result(truncated)
+    return result()
 
 
 def hat_system(s: IotaSequence, lam: Weight, support_bound: int, max_forms: int) -> FormSet:

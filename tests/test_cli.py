@@ -4,7 +4,7 @@ import pytest
 
 import polycrystal as pc
 from polycrystal import oracle, special
-from polycrystal.cli import _build_parser, _context, _system, main
+from polycrystal.cli import _build_parser, _context, _system, main, render_inequality
 from polycrystal.linforms import HAT, LinForm, form_from_json, generate_closure, lambda_form
 
 
@@ -149,6 +149,19 @@ def test_system_dispatch(argv, operator, tmp_path):
         n = max(12, 4 * s.period_len)
         seeds = [LinForm.unit(k) for k in range(1, n + 1)] + [lambda_form(s, lam, i) for i in c.indices]
         assert fs.forms == generate_closure(s, lam, seeds, HAT, n, args.max_forms).forms
+
+
+def test_truncation_warning_names_the_escaped_form(capsys):
+    argv = "--family an:3 --iota 2,1,3 --lambda 1,1,0 inequalities".split()
+    code, out, err = run(capsys, *argv)
+    args = _build_parser().parse_args(argv)
+    fs = _system(*_context(args), args)
+    assert code == 2 and not fs.budget_hit and fs.escaped is not None
+    assert err == (
+        f"warning: system truncated (a form escaped the window: {render_inequality(fs.escaped)}); "
+        "constraints shown are necessary only\n"
+    )
+    assert out == "".join(render_inequality(phi) + "\n" for phi in fs.sorted_forms)
 
 
 def test_epsstar(capsys):

@@ -2,6 +2,8 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polycrystal as pc
 from polycrystal.linforms import (
@@ -49,6 +51,8 @@ def test_evaluate_and_arith():
     assert phi.evaluate({}) == 3
     assert phi.plus(lf(x1=-2, x2=7)).coeffs == ((2, 7), (4, -1))
     assert phi.scaled(-2) == lf(const=-6, x1=-4, x4=2)
+    zero = phi.scaled(0)
+    assert zero == LinForm() and zero.is_zero and zero.coeffs == () and zero.render() == "0"
     assert phi.coeff(4) == -1 and phi.coeff(9) == 0
     assert phi.max_index == 4
 
@@ -194,13 +198,13 @@ def test_generate_closure_budget():
 
 def reference_closure(s, lam, seeds, operator, support_bound, max_forms):
     """The closure as defined: the operator at every window position of every
-    popped form.  Returns (forms, truncated, budget_hit)."""
+    popped form.  Returns (forms, truncated, budget_hit, first escaped form)."""
     seen, queue = set(), deque()
     for seed in seeds:
         if not seed.is_zero and seed not in seen:
             seen.add(seed)
             queue.append(seed)
-    truncated = False
+    escaped = None
     while queue:
         phi = queue.popleft()
         for k in range(1, support_bound + 1):
@@ -208,13 +212,13 @@ def reference_closure(s, lam, seeds, operator, support_bound, max_forms):
             if psi == phi or psi.is_zero or psi in seen:
                 continue
             if psi.max_index > support_bound:
-                truncated = True
+                escaped = escaped or psi
                 continue
             if len(seen) == max_forms:
-                return frozenset(seen), True, True
+                return frozenset(seen), True, True, escaped
             seen.add(psi)
             queue.append(psi)
-    return frozenset(seen), truncated, False
+    return frozenset(seen), escaped is not None, False, escaped
 
 
 def _closure_case(family, display, lam, operator, support, max_forms=10000):
@@ -242,7 +246,7 @@ def _closure_case(family, display, lam, operator, support, max_forms=10000):
 )
 def test_closure_matches_full_window_reference(case):
     args = _closure_case(*case)
-    forms, truncated, budget_hit = reference_closure(*args)
+    forms, truncated, budget_hit, escaped = reference_closure(*args)
     if budget_hit:
         with pytest.raises(BudgetExceededError) as err:
             generate_closure(*args)
@@ -251,6 +255,51 @@ def test_closure_matches_full_window_reference(case):
         fs = generate_closure(*args)
     assert fs.forms == forms
     assert fs.truncated == truncated
+    assert fs.escaped == escaped
+
+
+PROPERTY_FAMILIES = ["rank2:1,1", "rank2:1,2", "rank2:1,3", "rank2:2,2", "an:2", "an:3", "an:4", "affine-a:3"]
+
+
+@st.composite
+def closure_cases(draw):
+    """A family, a valid period (a permutation of the indices with up to two
+    insertions that keep cyclic neighbours distinct), a small dominant weight,
+    a window, the unit and weight seeds, an operator, and sometimes a budget
+    near the seed count."""
+    c = pc.build_cartan(draw(st.sampled_from(PROPERTY_FAMILIES)))
+    indices = list(c.indices)
+    period = draw(st.permutations(indices))
+    for i, at in draw(st.lists(st.tuples(st.sampled_from(indices), st.integers(0, 6)), max_size=2)):
+        candidate = period[:at] + [i] + period[at:]
+        if all(candidate[t] != candidate[t - 1] for t in range(len(candidate))):
+            period = candidate
+    s = pc.IotaSequence(c, tuple(period))
+    lam = pc.Weight(c, tuple(draw(st.integers(0, 2)) for _ in indices))
+    support = draw(st.integers(1, 14))
+    seeds = [X(k) for k in range(1, support + 1)]
+    weight_seeds = [phi for phi in (lambda_form(s, lam, i) for i in indices) if phi.max_index <= support]
+    # Unlabelled duplicates come last: the labelled first copies must be kept.
+    seeds += weight_seeds + [LinForm(phi.const, phi.coeffs) for phi in weight_seeds]
+    operator = draw(st.sampled_from([HAT, PLAIN]))
+    max_forms = draw(st.one_of(st.just(2000), st.integers(len(seeds), len(seeds) + 40)))
+    return s, lam, seeds, operator, support, max_forms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(closure_cases())
+def test_closure_matches_reference_on_drawn_cases(case):
+    s, lam, seeds, operator, support, max_forms = case
+    forms, truncated, budget_hit, escaped = reference_closure(*case)
+    try:
+        fs = generate_closure(s, lam if operator == HAT else None, seeds, operator, support, max_forms)
+    except BudgetExceededError as exc:
+        fs = exc.partial
+    assert (fs.forms, fs.truncated, fs.budget_hit, fs.escaped) == (forms, truncated, budget_hit, escaped)
+    kept = {phi: phi for phi in fs.forms}
+    for seed in seeds:
+        if seed.label is not None:
+            assert kept[seed].label == seed.label
 
 
 @pytest.mark.parametrize("family", ["an:4", "rank2:1,2"])
@@ -258,9 +307,9 @@ def test_closure_matches_reference_without_truncation(family):
     s = pc.standard_iota(pc.build_cartan(family))
     for i in s.cartan.indices:
         args = (s, None, [xi_form(s, i)], PLAIN, 20, 500)
-        forms, truncated, _ = reference_closure(*args)
+        forms, truncated, _, _ = reference_closure(*args)
         fs = generate_closure(*args)
-        assert fs.forms == forms and not fs.truncated and not truncated
+        assert fs.forms == forms and not fs.truncated and not truncated and fs.escaped is None
 
 
 def test_check_positivity_rank2_passes():

@@ -45,7 +45,6 @@ from .linforms import (
     AmpleReport,
     BudgetExceededError,
     FormSet,
-    InconclusiveError,
     LinForm,
     PositivityReport,
     beta_minus,

@@ -70,10 +70,6 @@ class CartanData:
         return self.matrix[i - 1][j - 1]
 
 
-def pairing(cartan: CartanData, i: int, j: int) -> int:
-    return cartan.pairing(i, j)
-
-
 def rank2(c1: int, c2: int) -> CartanData:
     """Rank-2 data with <h_1,alpha_2> = -c1 and <h_2,alpha_1> = -c2.
 

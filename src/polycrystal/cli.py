@@ -89,10 +89,6 @@ def _context(args):
     return c, s, lam
 
 
-def _family_tag(c) -> str:
-    return c.family[0]
-
-
 def _default_support(args, s) -> int:
     if args.support is not None:
         return args.support
@@ -102,15 +98,14 @@ def _default_support(args, s) -> int:
 def _system(c, s, lam, args) -> FormSet:
     """The closed form where one exists and describes ``s`` (the standard
     iota), unless --generic; otherwise the highest-weight closure."""
-    tag = _family_tag(c)
+    tag = c.family[0]
     if args.generic or tag == "custom" or s != standard_iota(c):
         return hat_system(s, lam, _default_support(args, s), args.max_forms)
     if tag == "rank2":
-        c1, c2 = c.family[1]
         window = None
-        if c1 * c2 >= 4:
+        if _infinite_rank2(c):
             window = args.support if args.support is not None else 9
-        return special.rank2_system(c1, c2, lam, window)
+        return special.rank2_system(*c.family[1], lam, window)
     if tag == "an":
         return special.an_system(c.rank, lam)
     k_bound = args.support if args.support is not None else 8
@@ -128,6 +123,21 @@ def render_inequality(phi: LinForm) -> str:
     return f"{phi.render()} >= 0"
 
 
+def _infinite_rank2(c) -> bool:
+    return c.family[0] == "rank2" and special.ChebCoeffs(*c.family[1]).l_max is None
+
+
+def _warn_truncated(fs: FormSet, args) -> int:
+    """INCONCLUSIVE, after naming the cause on stderr, if ``fs`` is truncated; else OK."""
+    if not fs.truncated:
+        return OK
+    cause = f"budget of {args.max_forms} forms hit" if fs.budget_hit else "a form escaped the window"
+    if not fs.budget_hit and fs.escaped is not None:
+        cause += f": {render_inequality(fs.escaped)}"
+    print(f"warning: system truncated ({cause}); constraints shown are necessary only", file=sys.stderr)
+    return INCONCLUSIVE
+
+
 def _emit_forms(fs: FormSet, args) -> int:
     if args.format == "json":
         payload = {
@@ -143,13 +153,7 @@ def _emit_forms(fs: FormSet, args) -> int:
             print(render_inequality(phi))
         if fs.zero_beyond is not None:
             print(f"x_k = 0 for k > {fs.zero_beyond}")
-    if fs.truncated:
-        cause = f"budget of {args.max_forms} forms hit" if fs.budget_hit else "a form escaped the window"
-        if not fs.budget_hit and fs.escaped is not None:
-            cause += f": {render_inequality(fs.escaped)}"
-        print(f"warning: system truncated ({cause}); constraints shown are necessary only", file=sys.stderr)
-        return INCONCLUSIVE
-    return OK
+    return _warn_truncated(fs, args)
 
 
 def cmd_inequalities(c, s, lam, args) -> int:
@@ -159,7 +163,7 @@ def cmd_inequalities(c, s, lam, args) -> int:
 def _default_depth(c, args):
     if args.depth is not None:
         return args.depth
-    if _family_tag(c) in ("affine-a",) or (_family_tag(c) == "rank2" and c.family[1][0] * c.family[1][1] >= 4):
+    if c.family[0] == "affine-a" or _infinite_rank2(c):
         return 6
     return None
 
@@ -234,7 +238,7 @@ def cmd_epsstar(c, s, lam, args) -> int:
     target = closures[args.i]
     value = epsilon_star(x, args.i, target)
     print(value if args.format == "text" else json.dumps({"epsilon_star": value}))
-    return INCONCLUSIVE if target.truncated else OK
+    return _warn_truncated(target, args)
 
 
 def cmd_check_positivity(c, s, lam, args) -> int:
@@ -247,7 +251,7 @@ def cmd_check_positivity(c, s, lam, args) -> int:
         print("positivity: fail")
         for phi, k in rep.violations:
             print(f"  {phi.render()} has coefficient {phi.coeff(k)} at first-occurrence position {k}")
-    return OK if rep.conclusive else INCONCLUSIVE
+    return OK if rep.conclusive else _warn_truncated(units, args)
 
 
 def cmd_check_ample(c, s, lam, args) -> int:
@@ -257,7 +261,7 @@ def cmd_check_ample(c, s, lam, args) -> int:
         print("ample: yes" + ("" if rep.conclusive else " (within tested bounds)"))
     else:
         print(f"ample: no (witness: {rep.witness.render()} has constant {rep.witness.const})")
-    return OK if rep.conclusive else INCONCLUSIVE
+    return OK if rep.conclusive else _warn_truncated(rep.system, args)
 
 
 def _dominant_weights(c, bound):
@@ -330,7 +334,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
-    except linforms.InconclusiveError as exc:
+    except linforms.BudgetExceededError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return INCONCLUSIVE
     except (

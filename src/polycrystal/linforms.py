@@ -38,15 +38,15 @@ HAT = "hat"
 
 
 class BudgetExceededError(RuntimeError):
-    """A generation budget was hit; carries the partial result."""
+    """A list-producing generator hit its count bound; carries the partial list.
+
+    Closures do not raise it: they return their partial :class:`FormSet`
+    flagged ``budget_hit``.
+    """
 
     def __init__(self, partial):
         super().__init__(f"budget exceeded ({len(partial)} items kept)")
         self.partial = partial
-
-
-class InconclusiveError(RuntimeError):
-    """A truncated system cannot support the requested conclusive verdict."""
 
 
 @dataclass(frozen=True)
@@ -186,12 +186,13 @@ class FormSet:
 
     ``truncated`` means some generated form escaped the support window or a
     budget was hit, so membership tests against this set are necessary
-    conditions only; ``budget_hit`` marks the second cause, the partial set
-    of a :class:`BudgetExceededError`.  ``escaped`` is the first form a
-    closure dropped for leaving the window, the reason for the first cause;
-    it takes no part in equality.  ``zero_beyond`` asserts that the full
-    system pins x_k = 0 for every k past that cutoff; closed-form builders set
-    it so that membership stays exact for points of arbitrary support.
+    conditions only.  ``budget_hit`` marks the second cause: the set is the
+    partial set a closure had reached when its form budget ran out.
+    ``escaped`` is the first form a closure dropped for leaving the window,
+    the reason for the first cause; it takes no part in equality.
+    ``zero_beyond`` asserts that the full system pins x_k = 0 for every k
+    past that cutoff; closed-form builders set it so that membership stays
+    exact for points of arbitrary support.
     """
 
     forms: frozenset
@@ -227,9 +228,9 @@ def generate_closure(
     by sparse beta rows built once per call; forms are built once, at the end.
     Forms whose support escapes the window are dropped and flagged via
     ``truncated``, the first of them kept as ``escaped``; the zero form is
-    discarded (it encodes 0 >= 0).  Raises :class:`BudgetExceededError`
-    carrying the partial set, with ``budget_hit`` set, when more than
-    ``max_forms`` distinct forms appear.
+    discarded (it encodes 0 >= 0).  When more than ``max_forms`` distinct
+    forms would appear, it stops and returns the partial set reached so far
+    with ``budget_hit`` (and so ``truncated``) set.
     """
     if operator not in (PLAIN, HAT):
         raise ValueError(f"unknown operator {operator!r}")
@@ -299,21 +300,19 @@ def generate_closure(
             if psi in seen or not any(psi):
                 continue
             if len(seen) >= max_forms:
-                raise BudgetExceededError(result(budget_hit=True))
+                return result(budget_hit=True)
             seen[psi] = None
             queue.append(psi)
     return result()
 
 
-def hat_system(s: IotaSequence, lam: Weight, support_bound: int, max_forms: int) -> FormSet:
+def hat_system(s: IotaSequence, lam: Weight, support_bound: int, max_forms: int = 10000) -> FormSet:
     """The highest-weight closure of the unit seeds x_1..x_{support_bound}
-    and the weight seeds; on a budget hit, the partial set it stopped at."""
+    and the weight seeds, by :func:`generate_closure`; on a budget hit, the
+    partial set it stopped at, flagged ``budget_hit``."""
     seeds = [LinForm.unit(k) for k in range(1, support_bound + 1)]
     seeds += [lambda_form(s, lam, i) for i in s.cartan.indices]
-    try:
-        return generate_closure(s, lam, seeds, HAT, support_bound, max_forms)
-    except BudgetExceededError as exc:
-        return exc.partial
+    return generate_closure(s, lam, seeds, HAT, support_bound, max_forms)
 
 
 @dataclass(frozen=True)
@@ -331,13 +330,12 @@ class PositivityReport:
         return self.passed
 
 
-def check_positivity(
-    fs: FormSet, s: IotaSequence, strict: bool = False, require_conclusive: bool = False
-) -> PositivityReport:
+def check_positivity(fs: FormSet, s: IotaSequence, strict: bool = False) -> PositivityReport:
     """Scan every form for a negative coefficient at a first-occurrence position.
 
     ``strict`` excludes the set's recorded seed forms, which legitimately
-    carry a -1 there.
+    carry a -1 there.  A violation is conclusive; a clean scan is conclusive
+    only when ``fs`` is not truncated, and ``fs`` says why it is.
     """
     first_positions = sorted(s.first(i) for i in s.cartan.indices)
     excluded = set(fs.generators) if strict else set()
@@ -349,19 +347,21 @@ def check_positivity(
             if phi.coeff(k) < 0:
                 violations.append((phi, k))
     passed = not violations
-    conclusive = (not passed) or (not fs.truncated)
-    if require_conclusive and not conclusive:
-        raise InconclusiveError("positivity verdict would rest on a truncated closure")
-    return PositivityReport(passed, tuple(violations), conclusive)
+    return PositivityReport(passed, tuple(violations), not passed or not fs.truncated)
 
 
 @dataclass(frozen=True)
 class AmpleReport:
-    """Whether every generated form keeps a nonnegative constant term."""
+    """Whether every generated form keeps a nonnegative constant term.
+
+    ``system`` is the closure that was scanned; on an inconclusive verdict
+    its ``budget_hit`` and ``escaped`` say why.
+    """
 
     ample: bool
     conclusive: bool
     witness: LinForm | None
+    system: FormSet = field(compare=False)
 
     def __bool__(self):
         return self.ample
@@ -372,7 +372,6 @@ def check_ample(
     lam: Weight,
     support_bound: int = 20,
     max_forms: int = 10000,
-    require_conclusive: bool = False,
 ) -> AmpleReport:
     """Test whether the zero vector satisfies the generated system.
 
@@ -383,16 +382,9 @@ def check_ample(
     if not lam.dominant:
         raise ValueError("ampleness is defined for dominant weights")
     fs = hat_system(s, lam, support_bound, max_forms)
-    witness = None
-    for phi in fs.sorted_forms:
-        if phi.const < 0:
-            witness = phi
-            break
+    witness = next((phi for phi in fs.sorted_forms if phi.const < 0), None)
     ample = witness is None
-    conclusive = (not ample) or not fs.truncated
-    if require_conclusive and not conclusive:
-        raise InconclusiveError("ampleness verdict would rest on a truncated closure")
-    return AmpleReport(ample, conclusive, witness)
+    return AmpleReport(ample, not ample or not fs.truncated, witness, fs)
 
 
 def forms_to_json(fs: FormSet) -> list[dict]:

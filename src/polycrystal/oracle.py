@@ -57,18 +57,6 @@ def root_system(cartan: CartanData) -> RootSystem:
     return RootSystem(cartan, tuple(sorted(positives)))
 
 
-def _root_norm(cartan: CartanData, coords) -> int:
-    """(beta, beta) under the symmetrized form (alpha_i, alpha_j) = d_i a_ij."""
-    d = cartan.symmetrizer
-    a = cartan.matrix
-    return sum(
-        ci * cj * d[i] * a[i][j]
-        for i, ci in enumerate(coords)
-        for j, cj in enumerate(coords)
-        if ci and cj
-    )
-
-
 def weyl_dim(cartan: CartanData, lam: Weight) -> int:
     """Exact dimension: product over positive roots of shifted-pairing ratios."""
     if not lam.dominant:

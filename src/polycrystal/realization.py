@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cartan import Weight
 from .crystal import HIGHEST_WEIGHT, LatticePoint, lattice_epsilons, sigma_sweep
 from .iota import IotaSequence
-from .linforms import FormSet, LinForm, hat_system
+from .linforms import FormSet, LinForm, check_positivity, hat_system
 
 
 class NotAmpleError(ValueError):
@@ -154,21 +154,15 @@ def _raised(entries, k: int):
 def epsilon_star(x: LatticePoint, i: int, xi_set: FormSet) -> int:
     """max of -phi(x) over the color-i generated forms.
 
-    Valid on the weight-free realization under strict positivity; the scan
-    here covers the supplied set (its own seed excluded), and assembling the
-    full cross-color union is the caller's job.
+    Valid on the weight-free realization under strict positivity; the
+    strict :func:`check_positivity` scan here covers the supplied set (its
+    own seed excluded), and assembling the full cross-color union is the
+    caller's job.
     """
-    s = x.iota
-    first_positions = [s.first(j) for j in s.cartan.indices]
-    seeds = set(xi_set.generators)
-    for phi in xi_set.forms:
-        if phi in seeds:
-            continue
-        for k in first_positions:
-            if phi.coeff(k) < 0:
-                raise StrictPositivityViolatedError(
-                    f"form {phi!r} has a negative coefficient at first occurrence {k}"
-                )
+    rep = check_positivity(xi_set, x.iota, strict=True)
+    if not rep:
+        phi, k = rep.violations[0]
+        raise StrictPositivityViolatedError(f"form {phi!r} has a negative coefficient at first occurrence {k}")
     values = x.values
     return max(-phi.evaluate(values) for phi in xi_set.forms)
 
@@ -239,7 +233,7 @@ def lr_coefficient(
     depth = sum(offset)
     if mu_result is None:
         if fs is None:
-            fs = hat_system(s, mu, s.period_len * (depth + 2), 20000)
+            fs = hat_system(s, mu, s.period_len * (depth + 2))
         mu_result = enumerate_blambda(s, mu, fs, depth_cap=depth + 1, validate=validate)
     elif not mu_result.complete and depth >= mu_result.depth_used:
         raise IncompleteEnumerationError(

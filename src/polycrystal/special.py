@@ -320,16 +320,16 @@ def enumerate_admissible(n: int, row_bound: int, count_bound: int = 100000) -> l
     return out
 
 
-def affine_a_system(
-    n: int, lam: Weight, row_bound: int = 4, k_bound: int = 8, count_bound: int = 100000
-) -> FormSet:
+def affine_a_system(n: int, lam: Weight, row_bound: int = 4, k_bound: int = 8) -> FormSet:
     """Truncated affine system: shifted admissible forms, the per-color
     bounds (one corner form for color 1, column differences for colors
     2..n-1), and the shift-0 family carrying the last weight coefficient.
-    Always truncated (the matrix family is infinite)."""
+    Always truncated (the matrix family is infinite).  Raises
+    :class:`BudgetExceededError` when :func:`enumerate_admissible` hits its
+    count bound."""
     if lam.cartan.rank != n:
         raise ValueError("weight rank mismatch")
-    matrices = enumerate_admissible(n, row_bound, count_bound)
+    matrices = enumerate_admissible(n, row_bound)
     support = k_bound + row_bound * (n - 1)
     forms = set()
     for mat in matrices:

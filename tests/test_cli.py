@@ -193,6 +193,44 @@ def test_check_ample(capsys):
     assert code == 2 and out.startswith("ample: yes")
 
 
+def test_check_positivity_names_a_budget_hit(capsys):
+    code, out, err = run(capsys, "--family", "an:3", "--iota", "2,3,2,1", "check-positivity", "--max-forms", "20")
+    assert code == 2 and out == "positivity: pass (within tested bounds)\n"
+    assert err == "warning: system truncated (budget of 20 forms hit); constraints shown are necessary only\n"
+
+
+def test_check_ample_names_the_escaped_form(capsys):
+    argv = "--family rank2:1,1 --lambda 1,1 check-ample".split()
+    code, out, err = run(capsys, *argv)
+    c, s, lam = _context(_build_parser().parse_args(argv))
+    escaped = pc.hat_system(s, lam, 12).escaped
+    assert code == 2 and out == "ample: yes (within tested bounds)\n"
+    assert err == (
+        f"warning: system truncated (a form escaped the window: {render_inequality(escaped)}); "
+        "constraints shown are necessary only\n"
+    )
+
+
+def test_epsstar_exit_follows_the_target_closure_on_a_budget_hit(capsys):
+    # 13 forms cut the weight-free unit closure short but hold all of color 2's.
+    code, out, err = run(capsys, "--family", "an:3", "epsstar", "--x", "1,1,1", "--i", "2", "--max-forms", "13")
+    assert (code, out, err) == (0, "0\n", "")
+    # 20 forms cut color 3's affine closure short: exit 2, and the cause is named.
+    code, out, err = run(capsys, "--family", "affine-a:3", "epsstar", "--x", "1", "--i", "3", "--max-forms", "20")
+    assert code == 2 and out == "0\n"
+    assert err == "warning: system truncated (budget of 20 forms hit); constraints shown are necessary only\n"
+
+
+def test_admissible_bound_is_inconclusive(capsys, monkeypatch):
+    def exceeded(n, row_bound):
+        raise pc.BudgetExceededError(())
+
+    monkeypatch.setattr(special, "enumerate_admissible", exceeded)
+    code, out, err = run(capsys, "--family", "affine-a:3", "--lambda", "1,0,0", "inequalities")
+    assert code == 2 and out == ""
+    assert err == "inconclusive: budget exceeded (0 items kept)\n"
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "--family", "an:2", "verify", "--max-weight", "2")
     assert code == 0 and "all checks passed" in out

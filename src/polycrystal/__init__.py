@@ -68,6 +68,7 @@ from .realization import (
     epsilon_star,
     lr_coefficient,
     member,
+    tensor_multiplicities,
     weight_multiplicity,
 )
 from .special import (

@@ -9,8 +9,8 @@ enumerator can assert that agreement point by point as it runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cartan import Weight
 from .crystal import HIGHEST_WEIGHT, LatticePoint, lattice_epsilons, sigma_sweep
@@ -132,10 +132,7 @@ def enumerate_blambda(
         levels.append(nxt)
 
     elements = tuple(LatticePoint(e, s, lam, HIGHEST_WEIGHT) for level in levels for e in sorted(level))
-    by_weight: dict[tuple[int, ...], int] = {}
-    for p in elements:
-        key = p.color_sums()
-        by_weight[key] = by_weight.get(key, 0) + 1
+    by_weight = dict(Counter(p.color_sums() for p in elements))
     depth_used = depth_cap if not complete else len(levels) - 1
     return RealizationResult(elements, complete, by_weight, depth_used)
 
@@ -181,29 +178,51 @@ def weight_multiplicity(result: RealizationResult, m) -> int:
 def solve_root_offset(lam_coeffs, cartan) -> tuple[int, ...] | None:
     """Solve sum_i m_i alpha_i = target (given by fundamental coefficients).
 
+    Fraction-free (Bareiss) Gauss-Jordan on the integer augmented matrix:
+    every division is exact, and every diagonal entry ends as d = +-det.
     Returns None when no nonnegative integer solution exists; raises when the
     Cartan matrix is singular (offsets are not pairing-determined then).
     """
     n = cartan.rank
-    rows = [
-        [Fraction(cartan.matrix[r][c]) for c in range(n)] + [Fraction(lam_coeffs[r])]
-        for r in range(n)
-    ]
+    rows = [list(row) + [t] for row, t in zip(cartan.matrix, lam_coeffs)]
+    d = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if piv is None:
             raise CartanNotInvertibleError("Cartan matrix is singular; finite type required")
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-    sol = [rows[r][n] for r in range(n)]
-    if any(v.denominator != 1 or v < 0 for v in sol):
+        top, p = rows[col], rows[col][col]
+        rows = [row if row is top else [(p * v - row[col] * w) // d for v, w in zip(row, top)] for row in rows]
+        d = p
+    if any(row[n] % d or row[n] // d < 0 for row in rows):
         return None
-    return tuple(int(v) for v in sol)
+    return tuple(row[n] // d for row in rows)
+
+
+def _passes_tensor_rule(p: LatticePoint, lam: Weight) -> bool:
+    return all(e <= l for e, l in zip(lattice_epsilons(p), lam.coeffs))
+
+
+def tensor_multiplicities(lam: Weight, mu_result: RealizationResult) -> dict[tuple[int, ...], int]:
+    """Every c^nu_{lam, mu}, keyed by nu's coefficients, from one scan of the
+    complete walk ``mu_result`` of B(mu).
+
+    Kashiwara's tensor rule: u_lam (x) b is a highest-weight element of
+    B(lam) (x) B(mu) iff epsilon_i(b) <= <h_i, lam> for every i.  Its weight
+    is nu = lam + mu - A m(b), m(b) being b's color sums.
+    """
+    if not lam.dominant:
+        raise ValueError("tensor multiplicities are defined for dominant weights")
+    if not mu_result.complete:
+        raise IncompleteEnumerationError(f"the walk of B(mu) is cut at depth {mu_result.depth_used}")
+    top = lam + mu_result.elements[0].lam
+    out: dict[tuple[int, ...], int] = {}
+    for p in mu_result.elements:
+        if _passes_tensor_rule(p, lam):
+            m = p.color_sums()
+            nu = tuple(t - sum(a * v for a, v in zip(row, m)) for t, row in zip(top.coeffs, lam.cartan.matrix))
+            out[nu] = out.get(nu, 0) + 1
+    return out
 
 
 def lr_coefficient(
@@ -212,35 +231,24 @@ def lr_coefficient(
     mu: Weight,
     nu: Weight,
     fs: FormSet | None = None,
-    mu_result: RealizationResult | None = None,
     validate: bool | None = None,
 ) -> int:
     """Multiplicity of the nu component in the lam (x) mu tensor product.
 
-    Enumerates the realized mu-crystal once to the needed depth and counts
-    the elements of weight nu - lam whose string functions stay within lam's
-    pairings.  The walk is checked against ``fs``, mu's inequality system,
-    by default the :func:`hat_system` over period length times (depth + 2)
-    positions.  An optional precomputed enumeration is reused as-is.
+    Enumerates the realized mu-crystal to the depth of nu's root offset and
+    counts the elements of weight nu - lam that pass the tensor rule of
+    :func:`tensor_multiplicities`.  The walk is checked against ``fs``, mu's
+    inequality system, by default the :func:`hat_system` over period length
+    times (depth + 2) positions.
     """
-    for w in (lam, mu, nu):
-        if not w.dominant:
-            raise ValueError("tensor multiplicities are defined for dominant weights")
+    if not all(w.dominant for w in (lam, mu, nu)):
+        raise ValueError("tensor multiplicities are defined for dominant weights")
     target = [lam.pairing(i) + mu.pairing(i) - nu.pairing(i) for i in s.cartan.indices]
     offset = solve_root_offset(target, s.cartan)
     if offset is None:
         return 0
     depth = sum(offset)
-    if mu_result is None:
-        if fs is None:
-            fs = hat_system(s, mu, s.period_len * (depth + 2))
-        mu_result = enumerate_blambda(s, mu, fs, depth_cap=depth + 1, validate=validate)
-    elif not mu_result.complete and depth >= mu_result.depth_used:
-        raise IncompleteEnumerationError(
-            f"need depth {depth} strictly below the enumerated cap {mu_result.depth_used}"
-        )
-    count = 0
-    for p in mu_result.elements:
-        if p.color_sums() == offset and all(e <= l for e, l in zip(lattice_epsilons(p), lam.coeffs)):
-            count += 1
-    return count
+    if fs is None:
+        fs = hat_system(s, mu, s.period_len * (depth + 2))
+    mu_result = enumerate_blambda(s, mu, fs, depth_cap=depth + 1, validate=validate)
+    return sum(1 for p in mu_result.elements if p.color_sums() == offset and _passes_tensor_rule(p, lam))

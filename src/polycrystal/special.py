@@ -313,7 +313,8 @@ def enumerate_admissible(n: int, row_bound: int, count_bound: int = 100000) -> l
             prev = row
         if len(out) >= count_bound:
             raise BudgetExceededError(tuple(out))
-        out.append(AdmissibleMatrix.build(n, entries, row_bound))
+        # Admissible by construction, so validate() is not repeated here.
+        out.append(AdmissibleMatrix(n, tuple(sorted(entries.items())), row_bound))
 
     extend([], 0)
     out.sort(key=lambda m: (len(m.entries), m.entries))

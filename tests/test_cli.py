@@ -211,10 +211,13 @@ def test_check_ample_names_the_escaped_form(capsys):
     )
 
 
-def test_epsstar_exit_follows_the_target_closure_on_a_budget_hit(capsys):
+def test_epsstar_names_a_budget_hit_on_either_closure(capsys):
     # 13 forms cut the weight-free unit closure short but hold all of color 2's.
     code, out, err = run(capsys, "--family", "an:3", "epsstar", "--x", "1,1,1", "--i", "2", "--max-forms", "13")
-    assert (code, out, err) == (0, "0\n", "")
+    assert code == 2 and out == "0\n"
+    assert err == "warning: system truncated (budget of 13 forms hit); constraints shown are necessary only\n"
+    # The unit closure escapes its window on every run; that alone keeps exit 0.
+    assert run(capsys, "--family", "an:3", "epsstar", "--x", "1,1,1", "--i", "2") == (0, "0\n", "")
     # 20 forms cut color 3's affine closure short: exit 2, and the cause is named.
     code, out, err = run(capsys, "--family", "affine-a:3", "epsstar", "--x", "1", "--i", "3", "--max-forms", "20")
     assert code == 2 and out == "0\n"
@@ -240,6 +243,26 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "weyl_dim", lambda c, w: 999)
     code, out, _ = run(capsys, "--family", "an:2", "verify", "--max-weight", "1")
     assert code == 3 and out.startswith("mismatch:")
+
+
+@pytest.mark.parametrize("change", ["count", "drop"])
+def test_verify_detects_a_tensor_mismatch(capsys, monkeypatch, change):
+    # (1,0) (x) (1,0) = (2,0) + (0,1) in A2: alter the first count, or drop (0,1) from the oracle.
+    real = oracle.tensor_decomposition
+
+    def altered(c, lam, mu):
+        table = dict(real(c, lam, mu))
+        if (lam, mu) == ((1, 0), (1, 0)):
+            if change == "count":
+                table[(0, 1)] += 1
+            else:
+                del table[(0, 1)]
+        return table
+
+    monkeypatch.setattr(oracle, "tensor_decomposition", altered)
+    code, out, _ = run(capsys, "--family", "an:2", "verify", "--max-weight", "1")
+    want = 2 if change == "count" else 0
+    assert (code, out) == (3, f"mismatch: c^(0, 1)_((1, 0),(1, 0)) = 1, oracle {want}\n")
 
 
 def test_custom_family_generic_pipeline(capsys, tmp_path):

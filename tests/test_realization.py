@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +17,7 @@ from polycrystal.realization import (
     lr_coefficient,
     member,
     solve_root_offset,
+    tensor_multiplicities,
     weight_multiplicity,
 )
 
@@ -191,16 +194,43 @@ def test_lr_rejects_affine():
         lr_coefficient(s, lam, lam, lam)
 
 
-def test_lr_reuses_supplied_enumeration(a2):
+def test_tensor_multiplicities_needs_a_complete_walk(a2):
     c, s = a2
     lam = pc.weight(c, "1,1")
     mu = pc.weight(c, "1,0")
     fs = pc.rank2_system(1, 1, mu)
     full = enumerate_blambda(s, mu, fs)
-    assert lr_coefficient(s, lam, mu, pc.weight(c, "2,1"), mu_result=full) == 1
+    # (1,1) (x) (1,0) = (2,1) + (0,2) + (1,0) in A2.
+    table = tensor_multiplicities(lam, full)
+    assert table == {(2, 1): 1, (0, 2): 1, (1, 0): 1}
+    for nu in ((2, 1), (0, 2), (1, 0), (1, 1)):
+        assert lr_coefficient(s, lam, mu, pc.Weight(c, nu), fs=fs) == table.get(nu, 0)
     capped = enumerate_blambda(s, mu, fs, depth_cap=1)
     with pytest.raises(IncompleteEnumerationError):
-        lr_coefficient(s, lam, mu, pc.weight(c, "1,0"), mu_result=capped)
+        tensor_multiplicities(lam, capped)
+    with pytest.raises(ValueError):
+        tensor_multiplicities(pc.Weight(c, (-1, 0)), full)
+
+
+B3 = pc.custom([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [2, 2, 1])
+D4 = pc.custom([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], [1, 1, 1, 1])
+
+
+def fraction_root_offset(target, cartan):
+    """Reference solve: Gauss-Jordan over Fractions."""
+    n = cartan.rank
+    rows = [[Fraction(v) for v in cartan.matrix[r]] + [Fraction(target[r])] for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    sol = [row[n] for row in rows]
+    if any(v.denominator != 1 or v < 0 for v in sol):
+        return None
+    return tuple(int(v) for v in sol)
 
 
 def test_solve_root_offset():
@@ -210,6 +240,38 @@ def test_solve_root_offset():
     assert solve_root_offset([-2, 1], c) is None  # negative
     with pytest.raises(CartanNotInvertibleError):
         solve_root_offset([0, 0, 0], pc.affine_a(3))
+    # B3: the highest root a1 + 2a2 + 2a3 is omega_2, the highest short root a1 + a2 + a3 is
+    # omega_1, and the spin weight omega_3 lies outside the root lattice.
+    assert solve_root_offset([0, 1, 0], B3) == (1, 2, 2)
+    assert solve_root_offset([1, 0, 0], B3) == (1, 1, 1)
+    assert solve_root_offset([0, 0, 1], B3) is None
+    # G2 as rank2(1, 3): the highest root 2a1 + 3a2 is omega_1, the highest short root a1 + 2a2 is omega_2.
+    g2 = pc.rank2(1, 3)
+    assert solve_root_offset([1, 0], g2) == (2, 3)
+    assert solve_root_offset([0, 1], g2) == (1, 2)
+    assert solve_root_offset([0, -1], g2) is None
+    # A5: the highest root is omega_1 + omega_5, and 2 omega_3 = a1 + 2a2 + 3a3 + 2a4 + a5.
+    a5 = pc.type_a(5)
+    assert solve_root_offset([1, 0, 0, 0, 1], a5) == (1, 1, 1, 1, 1)
+    assert solve_root_offset([0, 0, 2, 0, 0], a5) == (1, 2, 3, 2, 1)
+    assert solve_root_offset([1, 0, 0, 0, 0], a5) is None  # omega_1 lies outside the root lattice
+
+
+ROOT_DATA = {
+    **{f"A{n}": pc.type_a(n) for n in range(1, 6)},
+    **{f"rank2({a},{b})": pc.rank2(a, b) for a, b in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1))},
+    "B3": B3,
+    "D4": D4,
+}
+
+
+@pytest.mark.parametrize("name", ROOT_DATA)
+def test_solve_root_offset_matches_fraction_reference(name):
+    cartan = ROOT_DATA[name]
+    rng = random.Random(name)
+    for _ in range(300):
+        target = [rng.randint(-6, 8) for _ in cartan.indices]
+        assert solve_root_offset(target, cartan) == fraction_root_offset(target, cartan), target
 
 
 def test_affine_windows_cut_exactly_the_enumerated_sets():

@@ -221,6 +221,16 @@ def test_enumerate_admissible_monotone_in_row_bound():
     assert small <= large
 
 
+@pytest.mark.parametrize("n, row_bound", [(3, 6), (4, 5)])
+def test_enumerated_matrices_are_admissible(n, row_bound):
+    # The backtracking builds its matrices without validate(); check they would pass it.
+    mats = enumerate_admissible(n, row_bound)
+    assert mats
+    for m in mats:
+        m.validate()
+        assert AdmissibleMatrix.build(n, dict(m.entries), row_bound) == m
+
+
 def test_enumerate_admissible_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_admissible(3, 5, count_bound=5)
